@@ -52,7 +52,7 @@ const DeadlineHeader = "X-Cosma-Deadline-Ms"
 //	                    429 when shedding, 503 while draining or a shard's
 //	                    circuit is open (both with Retry-After), 504 when
 //	                    the X-Cosma-Deadline-Ms budget expires, 400 on bad
-//	                    input
+//	                    input, 500 when the engine fails
 //	GET  /v1/stats    — the Stats snapshot as JSON
 //	GET  /healthz     — 200 "ok" while accepting, 503 while draining
 func Handler(s *Server) http.Handler {
@@ -120,10 +120,12 @@ func (req *MultiplyRequest) matrices() (a, b *cosma.Matrix, err error) {
 }
 
 // statusFor maps service errors onto HTTP statuses: shedding is 429
-// (retryable after the batch window), draining and an open circuit are
-// 503 (retry another replica, or after the cooldown), an expired
-// deadline budget is 504, anything else about the request itself is
-// 400.
+// (retryable shortly, once batches ahead of it finish), draining and
+// an open circuit are 503 (retry another replica, or after the
+// cooldown), an expired deadline budget is 504, a request rejected for
+// its own input is 400, and any other failure — the engine's, such as
+// a rank death that outlived its retries or a receive timeout — is
+// 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -132,23 +134,23 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	default:
+	case errors.As(err, new(rejected)):
 		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
 	}
 }
 
-// retryAfter suggests when a rejected request is worth re-sending: one
-// batch window after shedding (the queue drains in window-sized
-// steps), one breaker cooldown after tripping a circuit, and a nominal
-// second while draining (really: go elsewhere). 0 means no header.
+// retryAfter suggests when a rejected request is worth re-sending: a
+// nominal second after shedding (the queue drains as fast as batches
+// execute) or while draining (really: go elsewhere), and one breaker
+// cooldown after tripping a circuit. 0 means no header.
 func (s *Server) retryAfter(err error) time.Duration {
 	switch {
-	case errors.Is(err, ErrOverloaded):
-		return s.opts.batchWindow()
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining):
+		return time.Second
 	case errors.Is(err, ErrShardOpen):
 		return s.opts.breakerCooldown()
-	case errors.Is(err, ErrDraining):
-		return time.Second
 	default:
 		return 0
 	}

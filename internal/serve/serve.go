@@ -3,10 +3,12 @@
 // cosma Engine.
 //
 // Requests are admitted against a bounded global queue (beyond it they
-// are shed immediately — the HTTP layer maps that to 429), coalesced
-// per shape for a short window, and executed as one
-// Engine.MultiplyBatch per bucket, so every request after a shape's
-// first rides a cached plan and a pooled executor. Engines are sharded
+// are shed immediately — the HTTP layer maps that to 429) and grouped
+// per shape by group commit: an idle shape bucket flushes the moment a
+// request joins it, and requests arriving while its batch runs go out
+// together in the next flush, one Engine.MultiplyBatch each, so every
+// request after a shape's first rides a cached plan and a pooled
+// executor. No timer delays a request. Engines are sharded
 // by shape hash: each shard owns its plan cache and executor pools, so
 // a hot mixed workload never serializes behind one plan-cache mutex.
 // Drain stops admission and waits for the queue to empty — the
@@ -49,9 +51,6 @@ type Options struct {
 	// QueueLimit bounds admitted-but-unfinished requests; beyond it
 	// Multiply sheds with ErrOverloaded. 0 means 256.
 	QueueLimit int
-	// BatchWindow is how long a shape bucket collects requests before
-	// flushing them as one MultiplyBatch; 0 means 2ms.
-	BatchWindow time.Duration
 	// MaxBatch bounds the pairs per MultiplyBatch call; 0 means 32.
 	MaxBatch int
 	// MaxDim bounds each of m, n, k at admission; 0 means 8192. A
@@ -89,13 +88,6 @@ func (o Options) queueLimit() int {
 		return 256
 	}
 	return o.QueueLimit
-}
-
-func (o Options) batchWindow() time.Duration {
-	if o.BatchWindow <= 0 {
-		return 2 * time.Millisecond
-	}
-	return o.BatchWindow
 }
 
 func (o Options) maxBatch() int {
@@ -145,6 +137,10 @@ type Server struct {
 	// clock feeds the breakers; tests substitute a fake for
 	// deterministic transition coverage.
 	clock func() time.Time
+	// gate, when non-nil, is called once per batch after the batch has
+	// left its bucket and before it executes; tests block in it to hold
+	// requests in flight.
+	gate func()
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast when queued drops or drain starts
@@ -158,9 +154,9 @@ type Server struct {
 
 type shapeKey struct{ m, n, k int }
 
-// bucket collects same-shape requests between flushes. pending and
-// flushing are guarded by Server.mu; the flusher goroutine owns the
-// batch it took out.
+// bucket collects same-shape requests that arrive while the bucket's
+// previous batch runs. pending and flushing are guarded by Server.mu;
+// the flusher goroutine owns the batch it took out.
 type bucket struct {
 	key      shapeKey
 	pending  []*request
@@ -259,9 +255,10 @@ func (k shapeKey) shard(n int) int {
 }
 
 // Multiply answers one request: admit (or shed), join the shape's
-// batch bucket, and wait for the bucket flush that carries it. The
-// context covers only the caller's wait — an abandoned request's slot
-// is still executed and released by its batch.
+// batch bucket, and wait for the bucket flush that carries it. A
+// context already done on entry is refused before admission; after
+// that the context covers only the caller's wait — an abandoned
+// request's slot is still executed and released by its batch.
 func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matrix, *cosma.Report, error) {
 	if a == nil || b == nil {
 		return nil, nil, s.reject(fmt.Errorf("serve: nil matrix"))
@@ -272,6 +269,10 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 	key := shapeKey{m: a.Rows, n: b.Cols, k: a.Cols}
 	if max := s.opts.maxDim(); key.m < 1 || key.n < 1 || key.k < 1 || key.m > max || key.n > max || key.k > max {
 		return nil, nil, s.reject(fmt.Errorf("serve: dimensions %d×%d×%d outside [1, %d]", key.m, key.n, key.k, s.opts.maxDim()))
+	}
+
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 
 	req := &request{a: a, b: b, done: make(chan result, 1)}
@@ -318,26 +319,27 @@ func (s *Server) Multiply(ctx context.Context, a, b *cosma.Matrix) (*cosma.Matri
 	}
 }
 
+// rejected marks an error as the request's own fault (malformed,
+// inconsistent or oversized input): the HTTP layer answers it 400,
+// while any other failure is the server's and answers 500.
+type rejected struct{ error }
+
+func (r rejected) Unwrap() error { return r.error }
+
 func (s *Server) reject(err error) error {
 	s.mu.Lock()
 	s.stats.Rejected++
 	s.mu.Unlock()
-	return err
+	return rejected{err}
 }
 
-// flushLoop drains one bucket: wait out the coalescing window, take up
-// to MaxBatch pending requests, execute them as one batch, repeat
-// until the bucket is empty. A full bucket skips the next window so a
-// hot shape is bounded by execution speed, not the timer.
+// flushLoop drains one bucket by group commit: take up to MaxBatch
+// pending requests, execute them as one batch, and repeat with
+// whatever arrived meanwhile until the bucket is empty. The first
+// request into an idle bucket therefore runs at once, and under load
+// batches grow by themselves to what queued during the previous one.
 func (s *Server) flushLoop(bk *bucket) {
 	for {
-		s.mu.Lock()
-		full := len(bk.pending) >= s.opts.maxBatch()
-		s.mu.Unlock()
-		if !full {
-			time.Sleep(s.opts.batchWindow())
-		}
-
 		s.mu.Lock()
 		batch := bk.pending
 		if len(batch) == 0 {
@@ -358,6 +360,9 @@ func (s *Server) flushLoop(bk *bucket) {
 		}
 		s.mu.Unlock()
 
+		if s.gate != nil {
+			s.gate()
+		}
 		s.execute(bk.key, batch)
 	}
 }
@@ -403,20 +408,17 @@ func (s *Server) execute(key shapeKey, batch []*request) {
 	}
 	outs, reps, err := eng.MultiplyBatch(ctx, pairs)
 
-	if br != nil && !degraded {
+	s.mu.Lock()
+	if degraded {
+		s.stats.FallbackBatches++
+	} else if br != nil {
 		// Deadline expiry is the callers' doing, not shard sickness —
 		// don't let it move the circuit.
 		failed := err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-		s.mu.Lock()
 		br.onResult(s.clock(), probe, failed)
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 	s.finish(batch, outs, reps, err)
-	if degraded {
-		s.mu.Lock()
-		s.stats.FallbackBatches++
-		s.mu.Unlock()
-	}
 }
 
 // batchDeadline returns the latest member deadline when every member
@@ -434,20 +436,16 @@ func batchDeadline(batch []*request) (time.Time, bool) {
 	return latest, len(batch) > 0
 }
 
-// finish fans one executed (or shed) batch's results back to the
-// waiting callers, accounts retries against the budget, and releases
-// the queue slots.
+// finish accounts one executed (or shed) batch — retries against the
+// budget, failures, the released queue slots — and then fans its
+// results back to the waiting callers, so a caller holding its answer
+// sees counters that already include its batch.
 func (s *Server) finish(batch []*request, outs []*cosma.Matrix, reps []*cosma.Report, err error) {
 	var retries int64
-	for i, req := range batch {
-		res := result{err: err}
-		if i < len(outs) && outs[i] != nil {
-			res = result{c: outs[i], rep: reps[i]}
-			if n := res.rep.Attempts - 1; n > 0 {
-				retries += int64(n)
-			}
+	for i := range batch {
+		if i < len(outs) && outs[i] != nil && reps[i].Attempts > 1 {
+			retries += int64(reps[i].Attempts - 1)
 		}
-		req.done <- res
 	}
 	s.mu.Lock()
 	s.queued -= len(batch)
@@ -462,6 +460,14 @@ func (s *Server) finish(batch []*request, outs []*cosma.Matrix, reps []*cosma.Re
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
+
+	for i, req := range batch {
+		res := result{err: err}
+		if i < len(outs) && outs[i] != nil {
+			res = result{c: outs[i], rep: reps[i]}
+		}
+		req.done <- res
+	}
 }
 
 // Stats returns a snapshot of the server's counters, including the

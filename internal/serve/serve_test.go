@@ -43,76 +43,141 @@ func reference(t *testing.T, a, b *cosma.Matrix) *cosma.Matrix {
 	return c
 }
 
-func TestMultiplyCorrectAndBatched(t *testing.T) {
-	s := newTestServer(t, Options{BatchWindow: 5 * time.Millisecond})
-	ctx := context.Background()
+// batchGate parks every batch at Server.gate until released, so a test
+// can hold requests in flight without depending on timing.
+type batchGate struct {
+	entered chan struct{} // receives once per batch parked at the gate
+	release chan struct{} // closed to let every batch through
+}
 
-	// Fire a burst of same-shape requests concurrently so the window
-	// coalesces them.
-	const reqs = 12
-	as := make([]*cosma.Matrix, reqs)
-	bs := make([]*cosma.Matrix, reqs)
-	wants := make([]*cosma.Matrix, reqs)
-	for i := range as {
-		as[i] = cosma.RandomMatrix(48, 32, int64(i+1))
-		bs[i] = cosma.RandomMatrix(32, 24, int64(i+100))
-		wants[i] = reference(t, as[i], bs[i])
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, reqs)
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, rep, err := s.Multiply(ctx, as[i], bs[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if rep == nil {
-				errs[i] = errors.New("nil report")
-				return
-			}
-			for j := range wants[i].Data {
-				if c.Data[j] != wants[i].Data[j] {
-					errs[i] = fmt.Errorf("word %d: got %v want %v", j, c.Data[j], wants[i].Data[j])
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+func holdBatches(s *Server) *batchGate {
+	g := &batchGate{entered: make(chan struct{}), release: make(chan struct{})}
+	s.gate = func() {
+		select {
+		case g.entered <- struct{}{}:
+			<-g.release
+		case <-g.release:
 		}
 	}
+	return g
+}
 
-	st := s.Stats()
-	if st.Requests != reqs {
-		t.Fatalf("requests = %d, want %d", st.Requests, reqs)
+// waitFor polls until cond holds. The states it waits for (a request
+// admitted behind a held batch, a drain begun) signal nothing a test
+// could block on.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	if st.Batches >= reqs {
-		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, reqs)
-	}
-	if st.Batched != reqs {
-		t.Fatalf("batched pairs = %d, want %d", st.Batched, reqs)
-	}
-	if st.Queued != 0 {
-		t.Fatalf("queued = %d after all requests answered", st.Queued)
+}
+
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d queued requests", n), func() bool { return s.Stats().Queued == n })
+}
+
+// TestMultiplyCorrectAndBatched checks group commit exactly: the first
+// request into an idle bucket flushes alone and is held at the gate,
+// n same-shape requests queue behind it, and on release they go out
+// in ⌈n/MaxBatch⌉ batches — every product bitwise-correct.
+func TestMultiplyCorrectAndBatched(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		maxBatch    int // Options.MaxBatch; 0 means the default 32
+		n           int // requests queued behind the held first batch
+		wantAfter   int64
+		wantLargest int
+	}{
+		{name: "one batch", n: 12, wantAfter: 1, wantLargest: 12},
+		{name: "beyond MaxBatch", maxBatch: 4, n: 10, wantAfter: 3, wantLargest: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Options{MaxBatch: tc.maxBatch})
+			gate := holdBatches(s)
+			ctx := context.Background()
+
+			reqs := tc.n + 1
+			as := make([]*cosma.Matrix, reqs)
+			bs := make([]*cosma.Matrix, reqs)
+			wants := make([]*cosma.Matrix, reqs)
+			for i := range as {
+				as[i] = cosma.RandomMatrix(48, 32, int64(i+1))
+				bs[i] = cosma.RandomMatrix(32, 24, int64(i+100))
+				wants[i] = reference(t, as[i], bs[i])
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, reqs)
+			send := func(i int) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c, rep, err := s.Multiply(ctx, as[i], bs[i])
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if rep == nil {
+						errs[i] = errors.New("nil report")
+						return
+					}
+					for j := range wants[i].Data {
+						if c.Data[j] != wants[i].Data[j] {
+							errs[i] = fmt.Errorf("word %d: got %v want %v", j, c.Data[j], wants[i].Data[j])
+							return
+						}
+					}
+				}()
+			}
+			send(0)
+			<-gate.entered
+			for i := 1; i < reqs; i++ {
+				send(i)
+			}
+			waitQueued(t, s, reqs)
+			close(gate.release)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+
+			st := s.Stats()
+			if st.Requests != int64(reqs) {
+				t.Fatalf("requests = %d, want %d", st.Requests, reqs)
+			}
+			if st.Batches != 1+tc.wantAfter {
+				t.Fatalf("batches = %d, want 1 held + %d", st.Batches, tc.wantAfter)
+			}
+			if st.MaxBatch != tc.wantLargest {
+				t.Fatalf("largest batch = %d, want %d", st.MaxBatch, tc.wantLargest)
+			}
+			if st.Batched != int64(reqs) {
+				t.Fatalf("batched pairs = %d, want %d", st.Batched, reqs)
+			}
+			if st.Queued != 0 {
+				t.Fatalf("queued = %d after all requests answered", st.Queued)
+			}
+		})
 	}
 }
 
 func TestShedsBeyondQueueLimit(t *testing.T) {
-	s := newTestServer(t, Options{QueueLimit: 2, BatchWindow: 50 * time.Millisecond})
+	s := newTestServer(t, Options{QueueLimit: 2})
+	gate := holdBatches(s)
 	ctx := context.Background()
 	a := cosma.RandomMatrix(16, 16, 1)
 	b := cosma.RandomMatrix(16, 16, 2)
 
-	// Two requests fill the queue; they sit in the coalescing window
-	// long enough for the third to arrive and be shed.
+	// Two requests fill the queue: the first is held at the gate, the
+	// second waits behind it, so the third is shed.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	send := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -121,22 +186,14 @@ func TestShedsBeyondQueueLimit(t *testing.T) {
 			}
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		q := s.queued
-		s.mu.Unlock()
-		if q == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	send()
+	<-gate.entered
+	send()
+	waitQueued(t, s, 2)
 	if _, _, err := s.Multiply(ctx, a, b); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("got %v, want ErrOverloaded", err)
 	}
+	close(gate.release)
 	wg.Wait()
 	st := s.Stats()
 	if st.Shed != 1 {
@@ -148,7 +205,8 @@ func TestShedsBeyondQueueLimit(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	s := newTestServer(t, Options{BatchWindow: 20 * time.Millisecond})
+	s := newTestServer(t, Options{})
+	gate := holdBatches(s)
 	ctx := context.Background()
 	a := cosma.RandomMatrix(32, 32, 1)
 	b := cosma.RandomMatrix(32, 32, 2)
@@ -158,31 +216,45 @@ func TestDrain(t *testing.T) {
 		_, _, err := s.Multiply(ctx, a, b)
 		done <- err
 	}()
-	// Wait for admission so Drain has something in flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		q := s.queued
-		s.mu.Unlock()
-		if q > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-gate.entered // admitted and held in flight
 
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if err := s.Drain(drainCtx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(drainCtx) }()
+	waitFor(t, "drain to begin", func() bool { return s.Stats().Draining })
+	if _, _, err := s.Multiply(ctx, a, b); !errors.Is(err, ErrDraining) {
+		t.Fatalf("got %v, want ErrDraining", err)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) with a request in flight", err)
+	default:
+	}
+
+	close(gate.release)
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("in-flight request failed during drain: %v", err)
 	}
-	if _, _, err := s.Multiply(ctx, a, b); !errors.Is(err, ErrDraining) {
-		t.Fatalf("got %v, want ErrDraining", err)
+}
+
+// TestCancelledContextNotAdmitted proves a request whose context is
+// already done — a client gone while its body was decoded — takes no
+// queue slot and runs nothing.
+func TestCancelledContextNotAdmitted(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a := cosma.RandomMatrix(16, 16, 1)
+	b := cosma.RandomMatrix(16, 16, 2)
+	if _, _, err := s.Multiply(ctx, a, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if st := s.Stats(); st.Requests != 0 || st.Batches != 0 {
+		t.Fatalf("cancelled request admitted: %d requests, %d batches", st.Requests, st.Batches)
 	}
 }
 
@@ -190,8 +262,12 @@ func TestRejectsOversized(t *testing.T) {
 	s := newTestServer(t, Options{MaxDim: 64})
 	a := cosma.RandomMatrix(65, 16, 1)
 	b := cosma.RandomMatrix(16, 16, 2)
-	if _, _, err := s.Multiply(context.Background(), a, b); err == nil {
+	_, _, err := s.Multiply(context.Background(), a, b)
+	if err == nil {
 		t.Fatal("oversized request accepted")
+	}
+	if status := statusFor(err); status != http.StatusBadRequest {
+		t.Fatalf("oversized request answers %d, want 400", status)
 	}
 	if st := s.Stats(); st.Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", st.Rejected)
@@ -292,11 +368,11 @@ func TestHTTPDrainingStatus(t *testing.T) {
 }
 
 // TestHTTPDeadlineHeader proves the X-Cosma-Deadline-Ms budget
-// propagates: a budget shorter than the coalescing window expires while
-// the request waits for its batch and maps to 504; a malformed value is
-// a 400.
+// propagates: a budget that expires while the request's batch is held
+// maps to 504; a malformed value is a 400.
 func TestHTTPDeadlineHeader(t *testing.T) {
-	s := newTestServer(t, Options{BatchWindow: 500 * time.Millisecond})
+	s := newTestServer(t, Options{})
+	gate := holdBatches(s)
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
@@ -319,12 +395,48 @@ func TestHTTPDeadlineHeader(t *testing.T) {
 	}
 
 	if status := post("20"); status != http.StatusGatewayTimeout {
-		t.Fatalf("20ms budget against a 500ms window: status %d, want 504", status)
+		t.Fatalf("20ms budget against a held batch: status %d, want 504", status)
 	}
 	if status := post("not-a-number"); status != http.StatusBadRequest {
 		t.Fatalf("malformed deadline: status %d, want 400", status)
 	}
+	close(gate.release)
 	if status := post("30000"); status != http.StatusOK {
 		t.Fatalf("generous budget: status %d, want 200", status)
+	}
+}
+
+// TestHTTPEngineFailureIs500 proves an execution the engine fails — a
+// rank killed on every attempt, so retries cannot save it — answers
+// 500, not the 400 that tells a client its request was malformed.
+func TestHTTPEngineFailureIs500(t *testing.T) {
+	s := newTestServer(t, Options{
+		Engine: []cosma.Option{
+			cosma.WithProcs(4), cosma.WithMemory(1 << 14),
+			cosma.WithFaultPlan(cosma.FaultPlan{Deaths: []cosma.RankDeath{{Rank: 1, Round: 0}}}),
+			cosma.WithRetry(cosma.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}),
+		},
+		Shards: 1,
+	})
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	a := cosma.RandomMatrix(16, 16, 1)
+	b := cosma.RandomMatrix(16, 16, 2)
+	body, _ := json.Marshal(MultiplyRequest{M: 16, N: 16, K: 16, A: a.Data, B: b.Data})
+	resp, err := http.Post(srv.URL+"/v1/multiply", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("error body %+v (%v), want a message", e, err)
+	}
+	if st := s.Stats(); st.BatchFailures != 1 || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want 1 batch failure and no rejection", st)
 	}
 }
