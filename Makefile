@@ -126,3 +126,4 @@ fault-conformance:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 30s -run '^$$' ./internal/machine/wire
 	$(GO) test -fuzz FuzzMultiplyHandler -fuzztime 30s -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 30s -run '^$$' ./internal/serve

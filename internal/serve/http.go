@@ -52,15 +52,23 @@ const DeadlineHeader = "X-Cosma-Deadline-Ms"
 //	                    429 when shedding, 503 while draining or a shard's
 //	                    circuit is open (both with Retry-After), 504 when
 //	                    the X-Cosma-Deadline-Ms budget expires, 400 on bad
-//	                    input, 500 when the engine fails
+//	                    input (trailing data, a null element, or a product
+//	                    that overflows float64 included), 500 when the
+//	                    engine fails
 //	GET  /v1/stats    — the Stats snapshot as JSON
 //	GET  /healthz     — 200 "ok" while accepting, 503 while draining
+//
+// The multiply payloads bypass encoding/json's reflection (codec.go):
+// a canonical body is scanned directly and any other falls back to
+// json.Unmarshal, so bodies are accepted or refused, and values
+// parsed, exactly as encoding/json would; the response is the bytes
+// json.Encoder would write.
 func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/multiply", func(w http.ResponseWriter, r *http.Request) {
-		var req MultiplyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, s.reject(fmt.Errorf("decoding request: %w", err)))
+		req, err := readRequest(r)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, s.reject(err))
 			return
 		}
 		a, b, err := req.matrices()
@@ -88,10 +96,19 @@ func Handler(s *Server) http.Handler {
 			httpError(w, status, err)
 			return
 		}
-		writeJSON(w, MultiplyResponse{
+		p := getBuf()
+		defer putBuf(p)
+		*p, err = appendResponse(*p, MultiplyResponse{
 			M: c.Rows, N: c.Cols, C: c.Data,
 			Algorithm: rep.Name, Grid: rep.Grid, MaxRecv: rep.MaxRecv,
 		})
+		if err != nil {
+			httpError(w, http.StatusBadRequest, s.reject(err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(*p)))
+		w.Write(*p)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
