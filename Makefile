@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race test-noasm bench-overlap bench-overlap-smoke bench-kernel bench-kernel-smoke bench-wire bench-wire-smoke bench-load bench-load-smoke bench-chaos bench-chaos-smoke bench-strassen bench-strassen-smoke fault-conformance fuzz-smoke
+.PHONY: build test race test-noasm bench-overlap bench-overlap-smoke bench-kernel bench-kernel-smoke bench-wire bench-wire-smoke bench-load bench-load-smoke bench-chaos bench-chaos-smoke bench-strassen bench-strassen-smoke fault-conformance fuzz-smoke experiments-golden
 
 build:
 	$(GO) build ./...
@@ -127,3 +127,12 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 30s -run '^$$' ./internal/machine/wire
 	$(GO) test -fuzz FuzzMultiplyHandler -fuzztime 30s -run '^$$' ./internal/serve
 	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 30s -run '^$$' ./internal/serve
+
+# experiments-golden diffs the default `cmd/experiments` output (every
+# paper table and figure) against the committed golden file, so a
+# refactor of the model layer that moves any printed digit fails here.
+# The golden is generated on linux/amd64 with the default GOAMD64 (see
+# cmd/experiments/testdata/README.md); regenerate it deliberately with
+#   go run ./cmd/experiments > cmd/experiments/testdata/default.golden
+experiments-golden:
+	$(GO) run ./cmd/experiments | diff -u cmd/experiments/testdata/default.golden -
