@@ -17,9 +17,9 @@ import (
 	"cosma/internal/costmodel"
 	"cosma/internal/experiments"
 	"cosma/internal/grid"
+	"cosma/internal/machine"
 	"cosma/internal/matrix"
 	"cosma/internal/pebble"
-	"cosma/internal/perfmodel"
 	"cosma/internal/seq"
 	"cosma/internal/workload"
 )
@@ -154,7 +154,7 @@ func BenchmarkFig7CommLargeKExtra(b *testing.B) {
 // benchPctPeak reports COSMA's %-peak at the largest feasible p.
 func benchPctPeak(b *testing.B, shape workload.Shape, regime workload.Regime) {
 	b.Helper()
-	mach := perfmodel.PizDaint()
+	net := machine.PizDaintNet()
 	var pct float64
 	for i := 0; i < b.N; i++ {
 		for _, p := range workload.CoreCounts() {
@@ -163,7 +163,8 @@ func benchPctPeak(b *testing.B, shape workload.Shape, regime workload.Regime) {
 				continue
 			}
 			mod := (&core.COSMA{}).Model(c.M, c.N, c.K, c.P, c.S)
-			pct = mach.Evaluate(mod, c.M, c.N, c.K, c.P).PctPeak
+			rt := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+			pct = experiments.PercentOfPeak(net, c.M, c.N, c.K, c.P, rt)
 		}
 	}
 	b.ReportMetric(pct, "%peak-COSMA-maxp")

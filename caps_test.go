@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"cosma/internal/bound"
-	"cosma/internal/costmodel"
 	"cosma/internal/matrix"
-	"cosma/internal/perfmodel"
 )
 
 // capsTol is the magnitude-scaled tolerance for Strassen results:
@@ -209,35 +207,9 @@ func TestCAPSPredictOmega(t *testing.T) {
 	}
 }
 
-// TestOmegaThreeBitwiseRegression pins the ω-parameterized model layer:
-// every ...Omega variant at ω = 3 must reproduce the classical function
-// bitwise, for each Table 3 row and the perfmodel evaluation.
+// TestOmegaThreeBitwiseRegression pins the ω-parameterized bound:
+// FastLowerBound at ω = 3 must reproduce Theorem 2 bitwise.
 func TestOmegaThreeBitwiseRegression(t *testing.T) {
-	net := PizDaintNetwork()
-	params := costmodel.Params{M: 4096, N: 4096, K: 4096, P: 512, S: 1 << 20}
-	for _, c := range costmodel.All(params) {
-		want := c.TimeUnder(params, net.Alpha, net.Beta, net.Gamma)
-		got := c.TimeUnderOmega(params, net.Alpha, net.Beta, net.Gamma, 3)
-		if got != want {
-			t.Fatalf("%s: TimeUnderOmega(ω=3) = %v, TimeUnder = %v (bitwise drift)", c.Algorithm, got, want)
-		}
-	}
-	mach := perfmodel.PizDaint()
-	eng, err := NewEngine(WithProcs(64), WithMemory(1<<18))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := eng.Plan(context.Background(), 2048, 2048, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := plan.Model()
-	want := mach.Evaluate(mod, 2048, 2048, 2048, 64)
-	got := mach.EvaluateOmega(mod, 2048, 2048, 2048, 64, 3)
-	if got != want {
-		t.Fatalf("EvaluateOmega(ω=3) = %+v, Evaluate = %+v (bitwise drift)", got, want)
-	}
-	// And the bound layer: FastLowerBound at ω = 3 is Theorem 2 exactly.
 	if got, want := bound.FastLowerBound(2048, 2048, 2048, 64, 1<<18, 3),
 		ParallelLowerBound(2048, 2048, 2048, 64, 1<<18); got != want {
 		t.Fatalf("FastLowerBound(ω=3) = %v, ParallelLowerBound = %v", got, want)

@@ -12,10 +12,12 @@
 // experiments (timevolume, overlap) execute on; both tables carry a
 // CAPS (Strassen, ω = log₂7) row per core count next to the classical
 // algorithms, surfacing the flops-vs-communication crossover against
-// COSMA. -calibrate first measures the
-// local packed kernel (matrix.Calibrate) and substitutes the measured
-// γ into the preset, so the reported compute times are calibrated to
-// this machine rather than assumed. -tune goes further: it autotunes
+// COSMA. The paper-scale figure tables (fig8–fig13, table4,
+// unfavorable) are always priced at the paper's Piz Daint constants;
+// -network and the flags below change only timevolume and overlap.
+// -calibrate first measures the local packed kernel (matrix.Calibrate)
+// and substitutes the measured γ into the preset, so the reported
+// compute times are calibrated to this machine rather than assumed. -tune goes further: it autotunes
 // the kernel's block sizes and micro-kernel variant (matrix.Tune) and
 // derives γ from the tuned throughput instead.
 //

@@ -94,9 +94,9 @@ var ErrRecvTimeout = machine.ErrRecvTimeout
 // profiles: ranks are packed onto nodes of ranksPerNode consecutive
 // ranks each, intra-node links use intra's α-β, inter-node links use
 // inter's α-β with the per-word cost scaled by congestion (≤0 or 1
-// means none). γ and the memory/overlap knobs come from inter. The
-// result is an ordinary NetworkParams — pass it to WithNetwork or
-// PredictTime like any preset.
+// means none). Compute is charged at inter's γ. The result is an
+// ordinary NetworkParams — pass it to WithNetwork like any preset, and
+// Engine.Predict prices it.
 func HierarchicalNetwork(intra, inter NetworkParams, ranksPerNode int, congestion float64) NetworkParams {
 	return machine.Hierarchical(intra, inter, ranksPerNode, congestion)
 }

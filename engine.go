@@ -130,7 +130,7 @@ func WithMemory(words int) Option {
 
 // WithDelta sets the grid-fitting idle-rank tolerance δ of §7.1 in
 // [0, 1). Zero (the default) means DefaultDelta. The same δ governs
-// Plan, Exec and PredictTime, so the engine never describes two
+// Plan, Exec and Predict, so the engine never describes two
 // different grids for one problem.
 func WithDelta(delta float64) Option {
 	return func(c *engineConfig) {

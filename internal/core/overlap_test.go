@@ -37,10 +37,10 @@ func TestCOSMAOverlapBitwiseIdentical(t *testing.T) {
 // TestCOSMAOverlapCritPathLower is the paper-facing acceptance
 // property (§7.3, Figure 12): at m=n=k=512 on p=16 timed ranks the
 // pipelined schedule's measured critical path is strictly below the
-// synchronous one's, and respects the perfmodel overlap semantics —
-// communication hides up to (but never below) the per-rank compute
-// time, so the overlapped critical path still dominates the pure
-// compute term.
+// synchronous one's, and respects NetworkParams.TimeOverlap's
+// semantics — communication hides up to (but never below) the per-rank
+// compute time, so the overlapped critical path still dominates the
+// pure compute term.
 func TestCOSMAOverlapCritPathLower(t *testing.T) {
 	const n, p = 512, 16
 	s := 3 * n * n / p
@@ -64,7 +64,7 @@ func TestCOSMAOverlapCritPathLower(t *testing.T) {
 			repPipe.CritPathTime, repSync.CritPathTime)
 	}
 
-	// perfmodel overlap semantics: the hidden communication cannot push
+	// TimeOverlap semantics: the hidden communication cannot push
 	// the critical path below the busiest rank's compute time.
 	pl, err := (&COSMA{}).Plan(n, n, n, p, s)
 	if err != nil {

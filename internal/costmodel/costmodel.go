@@ -138,30 +138,6 @@ func CAPS(p Params) Costs {
 	return Costs{Algorithm: "CAPS", Q: q, L: l}
 }
 
-// TimeUnder converts a Table 3 row into predicted seconds under the
-// α-β-γ cost surface of §2.3: γ seconds per flop on the 2mnk/p useful
-// work, β per word on the row's I/O cost Q and α per message on its
-// latency cost L. Passing a measured γ (matrix.Calibrate) makes the
-// closed-form rows comparable with the calibrated structural models.
-func (c Costs) TimeUnder(p Params, alpha, beta, gamma float64) float64 {
-	p.validate()
-	flops := 2 * p.mnk() / float64(p.P)
-	return gamma*flops + beta*c.Q + alpha*c.L
-}
-
-// TimeUnderOmega is TimeUnder generalized to arithmetic exponent ω:
-// the useful work becomes 2·N^ω/p with N = (mnk)^{1/3}. ω = 3 delegates
-// to TimeUnder, so every classical row's prediction is bitwise the
-// pre-exponent-aware number.
-func (c Costs) TimeUnderOmega(p Params, alpha, beta, gamma, omega float64) float64 {
-	if omega == 3 {
-		return c.TimeUnder(p, alpha, beta, gamma)
-	}
-	p.validate()
-	flops := 2 * math.Pow(math.Cbrt(p.mnk()), omega) / float64(p.P)
-	return gamma*flops + beta*c.Q + alpha*c.L
-}
-
 // All evaluates every Table 3 row for the given parameters.
 func All(p Params) []Costs {
 	return []Costs{TwoD(p), TwoPointFiveD(p), Recursive(p), COSMA(p)}

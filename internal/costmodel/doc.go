@@ -7,7 +7,6 @@
 // These formulas are the paper's analysis; the structural models in
 // internal/core and internal/baselines are derived from the executable
 // decompositions and are cross-checked against these forms in tests.
-// Costs.TimeUnder converts a row into predicted seconds under the
-// α-β-γ cost surface of §2.3 — pass matrix.Calibrate's measured γ to
-// compare closed forms at this machine's real compute rate.
+// The package prices nothing: machine.NetworkParams is the one α-β-γ
+// evaluator that turns counts into seconds.
 package costmodel

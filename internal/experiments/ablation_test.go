@@ -13,10 +13,8 @@ func TestIOLatencyTradeoffMonotone(t *testing.T) {
 	}
 	// Parse Q and L columns: as a grows, Q falls and L rises — the §6.3
 	// trade-off. (Columns: a, b, Q, L.)
-	lines := strings.Split(strings.TrimSpace(tb.CSV()), "\n")[1:]
 	var prevQ, prevL float64
-	for i, line := range lines {
-		f := strings.Split(line, ",")
+	for i, f := range rowFields(t, tb) {
 		q, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
 			t.Fatal(err)
@@ -43,15 +41,15 @@ func TestDeltaAblationImprovesUnfavorableCounts(t *testing.T) {
 		t.Fatalf("rows = %d", tb.Rows())
 	}
 	// For every p block, the δ=10% row must be at least as good as δ=0.
-	lines := strings.Split(strings.TrimSpace(tb.CSV()), "\n")[1:]
-	for i := 0; i < len(lines); i += 4 {
-		last := strings.Split(lines[i+3], ",")
+	rows := rowFields(t, tb)
+	for i := 0; i < len(rows); i += 4 {
+		last := rows[i+3]
 		ratio, err := strconv.ParseFloat(last[len(last)-1], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ratio > 1.0001 {
-			t.Fatalf("δ=10%% worse than δ=0: %s", lines[i+3])
+			t.Fatalf("δ=10%% worse than δ=0: %v", last)
 		}
 	}
 }

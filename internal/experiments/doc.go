@@ -10,8 +10,9 @@
 //
 // Small-scale points are executed on the machine simulator with real
 // data movement; paper-scale points are evaluated with the structural
-// models that the test suite cross-checks against execution. The timed
-// experiments accept any machine.NetworkParams, including presets
-// whose γ has been replaced by a matrix.Calibrate measurement
-// (cmd/experiments -calibrate).
+// models that the test suite cross-checks against execution, and priced
+// with machine.NetworkParams.Time at the paper's Piz Daint constants
+// (machine.PizDaintNet). The timed experiments accept any
+// machine.NetworkParams, including presets whose γ has been replaced by
+// a matrix.Calibrate measurement (cmd/experiments -calibrate).
 package experiments

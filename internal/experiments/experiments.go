@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"cosma/internal/algo"
 	_ "cosma/internal/baselines" // registers the baseline algorithms
@@ -13,7 +14,6 @@ import (
 	"cosma/internal/grid"
 	"cosma/internal/machine"
 	"cosma/internal/matrix"
-	"cosma/internal/perfmodel"
 	"cosma/internal/report"
 	"cosma/internal/seq"
 	"cosma/internal/workload"
@@ -39,6 +39,28 @@ func RunnersOverlap(net *machine.NetworkParams) []algo.Runner {
 }
 
 const wordsToMB = 8.0 / 1e6
+
+// paperNet prices the paper-scale figure tables (Figures 8–13, Table 4
+// and the unfavorable-p comparison) at the paper's Piz Daint constants,
+// so they reproduce §8's testbed whatever network the timed experiments
+// run on. Communication and computation are charged serially (Time),
+// identically for every algorithm; Figure 12 quantifies the overlap
+// gain (§7.3) separately.
+var paperNet = machine.PizDaintNet()
+
+// modelTime is the serial α-β-γ runtime of a model's busiest rank on
+// paperNet.
+func modelTime(mod algo.Model) float64 {
+	return paperNet.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+}
+
+// PercentOfPeak is the share of p cores' aggregate peak (1/γ flop/s
+// each) that an m×n×k multiplication reaches when it takes t seconds:
+// the 2mnk useful flops against what the cores could have done in t.
+func PercentOfPeak(net machine.NetworkParams, m, n, k, p int, t float64) float64 {
+	useful := 2 * float64(m) * float64(n) * float64(k)
+	return 100 * useful * net.Gamma / (t * float64(p))
+}
 
 // perUsedRecv converts a model's all-rank average received words into the
 // average over ranks that actually work. Idle ranks (CARMA's power-of-two
@@ -83,7 +105,6 @@ func CommVolume(shape workload.Shape, regime workload.Regime) *report.Table {
 // PctPeak regenerates a Figure 8/10-style panel: % of peak flop/s for
 // every algorithm across the sweep under the performance model.
 func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
-	mach := perfmodel.PizDaint()
 	t := report.NewTable(
 		fmt.Sprintf("%% of peak performance — %s, %s (Figures 8/10)", shape, regime),
 		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
@@ -94,8 +115,8 @@ func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
 		}
 		row := []interface{}{p}
 		for _, r := range Runners() {
-			res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
-			row = append(row, res.PctPeak)
+			rt := modelTime(r.Model(c.M, c.N, c.K, c.P, c.S))
+			row = append(row, PercentOfPeak(paperNet, c.M, c.N, c.K, c.P, rt))
 		}
 		t.AddRow(row...)
 	}
@@ -105,7 +126,6 @@ func PctPeak(shape workload.Shape, regime workload.Regime) *report.Table {
 // Runtime regenerates a Figure 9/11-style panel: total simulated runtime
 // in milliseconds.
 func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
-	mach := perfmodel.PizDaint()
 	t := report.NewTable(
 		fmt.Sprintf("Total runtime [ms] — %s, %s (Figures 9/11)", shape, regime),
 		"cores", "COSMA", "ScaLAPACK", "CTF", "CARMA")
@@ -116,8 +136,7 @@ func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 		}
 		row := []interface{}{p}
 		for _, r := range Runners() {
-			res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
-			row = append(row, res.TimeSec*1e3)
+			row = append(row, modelTime(r.Model(c.M, c.N, c.K, c.P, c.S))*1e3)
 		}
 		t.AddRow(row...)
 	}
@@ -129,7 +148,6 @@ func Runtime(shape workload.Shape, regime workload.Regime) *report.Table {
 // algorithm, and COSMA's speedup over the second-best algorithm under the
 // performance model (min / geometric mean / max over the sweep).
 func Table4() *report.Table {
-	mach := perfmodel.PizDaint()
 	t := report.NewTable(
 		"Table 4: mean comm volume per rank [MB] and COSMA speedup vs second-best",
 		"shape", "benchmark", "ScaLAPACK", "CTF", "CARMA", "COSMA",
@@ -151,7 +169,7 @@ func Table4() *report.Table {
 				for _, r := range Runners() {
 					mod := r.Model(c.M, c.N, c.K, c.P, c.S)
 					sums[r.Name()] += perUsedRecv(mod, c.P) * wordsToMB
-					rt := mach.Evaluate(mod, c.M, c.N, c.K, c.P).TimeSec
+					rt := modelTime(mod)
 					if r.Name() == (&core.COSMA{}).Name() {
 						cosmaT = rt
 					} else if rt < secondBest {
@@ -283,7 +301,6 @@ func SeqIO() *report.Table {
 // COSMA for each shape at the smallest and largest strong-scaling core
 // counts, with and without overlap.
 func Fig12() *report.Table {
-	mach := perfmodel.PizDaint()
 	t := report.NewTable(
 		"Figure 12: COSMA time breakdown [ms], strong scaling",
 		"shape", "cores", "compute", "input A/B", "output C", "total no-overlap", "total overlap")
@@ -298,19 +315,30 @@ func Fig12() *report.Table {
 			g := grid.Fit(c.M, c.N, c.K, c.P, c.S, core.DefaultDelta)
 			dm, dn, _ := g.LocalDims(c.M, c.N, c.K)
 			outWords := float64(dm) * float64(dn) * float64(g.Pk-1) / float64(g.Pk) * 2
-			bd := mach.SplitInputOutput(mod, outWords)
-			t.AddRow(shape.String(), p, bd.ComputeSec*1e3, bd.InputSec*1e3,
-				bd.OutputSec*1e3, bd.TotalNoOv*1e3, bd.TotalOv*1e3)
+			compute, input, output := splitInputOutput(paperNet, mod, outWords)
+			t.AddRow(shape.String(), p, compute*1e3, input*1e3, output*1e3,
+				modelTime(mod)*1e3,
+				paperNet.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)*1e3)
 		}
 	}
 	return t
+}
+
+// splitInputOutput splits a model's serial runtime on net into Figure
+// 12's categories: computation, input (A and B panels, plus every
+// message's latency) and output (reducing C), assuming outWords of the
+// model's MaxRecv words carry C. outWords is clamped to MaxRecv.
+func splitInputOutput(net machine.NetworkParams, mod algo.Model, outWords float64) (compute, input, output float64) {
+	outWords = math.Min(outWords, mod.MaxRecv)
+	return net.Gamma * mod.MaxFlops,
+		net.Beta*(mod.MaxRecv-outWords) + net.Alpha*mod.MaxMsgs,
+		net.Beta * outWords
 }
 
 // Fig13 regenerates Figures 13/14: the distribution (min / median / max
 // over core counts) of achieved % of peak for every algorithm in every
 // scenario.
 func Fig13() *report.Table {
-	mach := perfmodel.PizDaint()
 	t := report.NewTable(
 		"Figures 13/14: distribution of % peak across core counts",
 		"shape", "benchmark", "algorithm", "min", "median", "max")
@@ -323,13 +351,13 @@ func Fig13() *report.Table {
 					if !feasible(c) {
 						continue
 					}
-					res := mach.Evaluate(r.Model(c.M, c.N, c.K, c.P, c.S), c.M, c.N, c.K, c.P)
-					samples = append(samples, res.PctPeak)
+					rt := modelTime(r.Model(c.M, c.N, c.K, c.P, c.S))
+					samples = append(samples, PercentOfPeak(paperNet, c.M, c.N, c.K, c.P, rt))
 				}
 				if len(samples) == 0 {
 					continue
 				}
-				sortFloats(samples)
+				sort.Float64s(samples)
 				t.AddRow(shape.String(), regime.String(), r.Name(),
 					samples[0], samples[len(samples)/2], samples[len(samples)-1])
 			}
@@ -342,7 +370,6 @@ func Fig13() *report.Table {
 // comparison: p = 9216 vs 9217 for COSMA (stable thanks to grid fitting)
 // and the 2.5D decomposition (unstable).
 func Unfavorable() *report.Table {
-	mach := perfmodel.PizDaint()
 	n := 16384
 	s := workload.MemoryWordsPerCore
 	t := report.NewTable(
@@ -351,8 +378,7 @@ func Unfavorable() *report.Table {
 	for _, p := range []int{9216, 9217} {
 		for _, r := range Runners() {
 			mod := r.Model(n, n, n, p, s)
-			res := mach.Evaluate(mod, n, n, n, p)
-			t.AddRow(r.Name(), p, mod.Grid, res.TimeSec*1e3, mod.AvgRecv)
+			t.AddRow(r.Name(), p, mod.Grid, modelTime(mod)*1e3, mod.AvgRecv)
 		}
 	}
 	return t
@@ -409,12 +435,4 @@ func Table1() *report.Table {
 		t.AddRow(r.Name(), s[0], s[1], mod.AvgRecv)
 	}
 	return t
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

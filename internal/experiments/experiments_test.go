@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"cosma/internal/algo"
+	"cosma/internal/machine"
+	"cosma/internal/report"
 	"cosma/internal/workload"
 )
 
@@ -116,23 +120,88 @@ func TestValidateModelsAccurate(t *testing.T) {
 	if tb.Rows() < 12 {
 		t.Fatalf("Validate rows = %d", tb.Rows())
 	}
-	// Parse the ratio column from CSV: every executed/model ratio must be
-	// within [0.3, 3] (CARMA's closed-form model is the loosest).
-	lines := strings.Split(strings.TrimSpace(tb.CSV()), "\n")
-	for _, line := range lines[1:] {
-		fields := strings.Split(line, ",")
+	// Every executed/model ratio must be within [0.2, 3.5] (CARMA's
+	// closed-form model is the loosest).
+	for _, fields := range rowFields(t, tb) {
 		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
 		if err != nil {
 			t.Fatalf("bad ratio %q", fields[len(fields)-1])
 		}
 		if v < 0.2 || v > 3.5 {
-			t.Errorf("model far from measurement: %s", line)
+			t.Errorf("model far from measurement: %v", fields)
 		}
 	}
+}
+
+// rowFields splits a table's rendered data rows (after the title,
+// header and rule lines) into their whitespace-separated cells. The
+// tables parsed this way have no blank inside a cell.
+func rowFields(t *testing.T, tb *report.Table) [][]string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(tb.String()), "\n")
+	if len(lines) != 3+tb.Rows() {
+		t.Fatalf("rendered %d lines for %d rows:\n%s", len(lines), tb.Rows(), tb)
+	}
+	var rows [][]string
+	for _, line := range lines[3:] {
+		rows = append(rows, strings.Fields(line))
+	}
+	return rows
 }
 
 func TestTable1FourRows(t *testing.T) {
 	if got := Table1().Rows(); got != 4 {
 		t.Fatalf("Table1 rows = %d", got)
+	}
+}
+
+func TestPercentOfPeakComputeOnlyIsFull(t *testing.T) {
+	// A perfectly balanced, communication-free model spends exactly
+	// 2mnk/p flops per rank: it reaches 100% of peak.
+	net := machine.PizDaintNet()
+	m, n, k, p := 10000, 10000, 5000, 64
+	flops := 2 * float64(m) * float64(n) * float64(k) / float64(p)
+	pct := PercentOfPeak(net, m, n, k, p, net.Time(flops, 0, 0))
+	if math.Abs(pct-100) > 1e-9 {
+		t.Fatalf("compute-only %%-peak = %v, want 100", pct)
+	}
+}
+
+func TestPercentOfPeakFallsWithTraffic(t *testing.T) {
+	net := machine.PizDaintNet()
+	m, n, k, p := 4096, 4096, 4096, 256
+	flops := 2.0 * 4096 * 4096 * 4096 / 256
+	light := PercentOfPeak(net, m, n, k, p, net.Time(flops, 1e6, 10))
+	heavy := PercentOfPeak(net, m, n, k, p, net.Time(flops, 1e9, 10))
+	if heavy >= light {
+		t.Fatalf("more words should lower %%-peak: %v vs %v", heavy, light)
+	}
+}
+
+func TestSplitInputOutput(t *testing.T) {
+	net := machine.NetworkParams{Alpha: 0, Beta: 1 / 3.6e7, Gamma: 1 / 36.8e9}
+	mod := algo.Model{MaxFlops: 3.68e9, MaxRecv: 3.2e8, MaxMsgs: 0}
+	compute, input, output := splitInputOutput(net, mod, mod.MaxRecv/2)
+	if math.Abs(input-output) > 1e-9 {
+		t.Fatalf("half output split uneven: in %v out %v", input, output)
+	}
+	serial := net.Time(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs)
+	if math.Abs(serial-(compute+input+output)) > 1e-12 {
+		t.Fatalf("categories sum to %v, serial time %v", compute+input+output, serial)
+	}
+	if ov := net.TimeOverlap(mod.MaxFlops, mod.MaxRecv, mod.MaxMsgs); ov > serial {
+		t.Fatalf("overlap %v slower than serial %v", ov, serial)
+	}
+	// More output words than the model receives: clamped to MaxRecv.
+	_, input, output = splitInputOutput(net, mod, 1e12)
+	if input != 0 || output != net.Beta*mod.MaxRecv {
+		t.Fatalf("clamped split: input %v output %v, want 0 and %v", input, output, net.Beta*mod.MaxRecv)
+	}
+	// Latency is charged to the input category.
+	net.Alpha = 1e-3
+	mod.MaxMsgs = 1000
+	_, input, _ = splitInputOutput(net, mod, mod.MaxRecv)
+	if math.Abs(input-1) > 1e-12 {
+		t.Fatalf("latency-only input = %v, want 1", input)
 	}
 }

@@ -179,6 +179,11 @@ func TestNetworkByName(t *testing.T) {
 			t.Fatalf("preset %q = %+v", name, net)
 		}
 	}
+	// The paper's §8 testbed: the figure tables are priced at exactly
+	// these constants.
+	if pd := PizDaintNet(); pd.Gamma != 1/36.8e9 || pd.Beta != 1/3.6e7 || pd.Alpha != 1.5e-6 || pd.Hier() {
+		t.Fatalf("PizDaintNet() = %+v, want γ = 1/36.8e9, β = 1/3.6e7, α = 1.5e-6, flat", pd)
+	}
 	if _, err := NetworkByName("infiniband"); err == nil {
 		t.Fatal("unknown preset must error")
 	}
@@ -188,6 +193,31 @@ func TestNetworkParamsTime(t *testing.T) {
 	n := NetworkParams{Alpha: 2, Beta: 3, Gamma: 5}
 	if got := n.Time(1, 10, 100); !almost(got, 5*1+3*10+2*100) {
 		t.Fatalf("Time = %v", got)
+	}
+	// TimeOverlap hides the shorter phase behind the longer one (§7.3);
+	// Time charges both serially.
+	cases := []struct {
+		name               string
+		flops, words, msgs float64
+		overlap            float64
+	}{
+		{"compute-bound", 100, 10, 1, 5 * 100},   // 500 s compute vs 32 s comms
+		{"comm-bound", 1, 10, 100, 3*10 + 2*100}, // 5 s compute vs 230 s comms
+		{"latency-only", 0, 0, 7, 2 * 7},         // no words, no flops
+		{"balanced", 46, 10, 100, 5 * 46},        // 230 s each way
+	}
+	for _, c := range cases {
+		ov := n.TimeOverlap(c.flops, c.words, c.msgs)
+		if !almost(ov, c.overlap) {
+			t.Errorf("%s: TimeOverlap = %v, want %v", c.name, ov, c.overlap)
+		}
+		serial := n.Time(c.flops, c.words, c.msgs)
+		if want := 5*c.flops + 3*c.words + 2*c.msgs; !almost(serial, want) {
+			t.Errorf("%s: Time = %v, want the sum %v", c.name, serial, want)
+		}
+		if ov > serial {
+			t.Errorf("%s: overlapped %v slower than serial %v", c.name, ov, serial)
+		}
 	}
 }
 

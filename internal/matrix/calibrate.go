@@ -12,8 +12,8 @@ import (
 // flop), the constant the α-β-γ cost surface charges compute with. The
 // paper's predictions assume a tuned dgemm running at hardware speed;
 // Calibrate replaces that assumption with a measurement, so
-// engine.PredictTime and the perfmodel tables report what this binary
-// actually achieves rather than a Piz Daint constant.
+// Engine.Predict and the timed-transport tables report what this
+// binary actually achieves rather than a Piz Daint constant.
 type Calibration struct {
 	N       int           // problem size measured (n×n×n)
 	Threads int           // kernel worker bound used
@@ -70,9 +70,8 @@ func timeMul(k *Kernel, c, a, b *Dense, runs int) time.Duration {
 // (n, threads) for the process lifetime; the underlying measurement is
 // the best of three timed runs after one warm-up.
 //
-// Feed the result into a network model with NetworkParams.WithGamma
-// (or perfmodel.Machine.WithPeakFlops) so predictions charge compute at
-// the measured rate:
+// Feed the result into a network model with NetworkParams.WithGamma so
+// predictions charge compute at the measured rate:
 //
 //	cal := matrix.Calibrate(0, 0)
 //	net := machine.PizDaintNet().WithGamma(cal.Gamma)

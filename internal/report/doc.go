@@ -1,6 +1,5 @@
 // Package report renders the experiment results as fixed-width text
-// tables and CSV series — the textual counterpart of the paper's
-// figures. Tables align on column widths computed from the data,
-// Seconds pretty-prints runtimes across nine orders of magnitude, and
-// the CSV form exists so results can be plotted outside Go.
+// tables — the textual counterpart of the paper's figures. Tables align
+// on column widths computed from the data, and Seconds pretty-prints
+// runtimes across nine orders of magnitude.
 package report

@@ -100,18 +100,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values (for plotting).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Rows returns the number of data rows added so far.
 func (t *Table) Rows() int { return len(t.rows) }
 

@@ -14,6 +14,9 @@ func TestTableAlignment(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
+	if tb.Rows() != 2 {
+		t.Fatalf("Rows = %d, want 2", tb.Rows())
+	}
 	if !strings.HasPrefix(lines[0], "demo") {
 		t.Fatalf("missing title: %q", lines[0])
 	}
@@ -40,18 +43,6 @@ func TestFloatFormatting(t *testing.T) {
 		if got := formatFloat(c.v); got != c.want {
 			t.Fatalf("formatFloat(%v) = %q, want %q", c.v, got, c.want)
 		}
-	}
-}
-
-func TestCSV(t *testing.T) {
-	tb := NewTable("", "p", "q")
-	tb.AddRow(128, 3.5)
-	csv := tb.CSV()
-	if csv != "p,q\n128,3.500\n" {
-		t.Fatalf("CSV = %q", csv)
-	}
-	if tb.Rows() != 1 {
-		t.Fatalf("Rows = %d", tb.Rows())
 	}
 }
 

@@ -71,6 +71,9 @@ func TestWireRankHelper(t *testing.T) {
 
 // spawnWorker re-executes the test binary as the wire worker hosting
 // rank, returning the running command and its combined output buffer.
+// The worker never outlives its test: a cleanup kills and reaps it
+// once the test ends, whether or not the test already waited for it,
+// and on Linux the kernel kills it if the test binary itself dies.
 func spawnWorker(t *testing.T, rank int, peers []string, algo, mode string) (*exec.Cmd, *bytes.Buffer) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestWireRankHelper$")
@@ -79,9 +82,14 @@ func spawnWorker(t *testing.T, rank int, peers []string, algo, mode string) (*ex
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out
+	dieWithParent(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("spawning worker rank %d: %v", rank, err)
 	}
+	t.Cleanup(func() {
+		cmd.Process.Kill() // os.ErrProcessDone once the worker was reaped
+		cmd.Wait()         // "Wait was already called" if the test reaped it
+	})
 	return cmd, &out
 }
 
