@@ -179,13 +179,16 @@ func TestNetworkByName(t *testing.T) {
 			t.Fatalf("preset %q = %+v", name, net)
 		}
 	}
-	// The paper's §8 testbed: the figure tables are priced at exactly
-	// these constants.
-	if pd := PizDaintNet(); pd.Gamma != 1/36.8e9 || pd.Beta != 1/3.6e7 || pd.Alpha != 1.5e-6 || pd.Hier() {
-		t.Fatalf("PizDaintNet() = %+v, want γ = 1/36.8e9, β = 1/3.6e7, α = 1.5e-6, flat", pd)
-	}
 	if _, err := NetworkByName("infiniband"); err == nil {
 		t.Fatal("unknown preset must error")
+	}
+}
+
+// The paper's §8 testbed: the figure tables are priced at exactly these
+// constants.
+func TestPizDaintConstantsSane(t *testing.T) {
+	if pd := PizDaintNet(); pd.Gamma != 1/36.8e9 || pd.Beta != 1/3.6e7 || pd.Alpha != 1.5e-6 || pd.Hier() {
+		t.Fatalf("PizDaintNet() = %+v, want γ = 1/36.8e9, β = 1/3.6e7, α = 1.5e-6, flat", pd)
 	}
 }
 
@@ -203,7 +206,6 @@ func TestNetworkParamsTime(t *testing.T) {
 	}{
 		{"compute-bound", 100, 10, 1, 5 * 100},   // 500 s compute vs 32 s comms
 		{"comm-bound", 1, 10, 100, 3*10 + 2*100}, // 5 s compute vs 230 s comms
-		{"latency-only", 0, 0, 7, 2 * 7},         // no words, no flops
 		{"balanced", 46, 10, 100, 5 * 46},        // 230 s each way
 	}
 	for _, c := range cases {
@@ -218,6 +220,29 @@ func TestNetworkParamsTime(t *testing.T) {
 		if ov > serial {
 			t.Errorf("%s: overlapped %v slower than serial %v", c.name, ov, serial)
 		}
+	}
+}
+
+// At 1 Gflop/s and 1e8 words/s, 2e9 flops and 1e8 words take 2 s of
+// compute and 1 s of comms: overlapped the longer phase wins, serially
+// they add.
+func TestTimeOverlapVsSerial(t *testing.T) {
+	n := NetworkParams{Alpha: 1e-6, Beta: 1e-8, Gamma: 1e-9}
+	if got := n.TimeOverlap(2e9, 1e8, 0); !almost(got, 2) {
+		t.Fatalf("overlap time = %v, want 2", got)
+	}
+	if got := n.Time(2e9, 1e8, 0); !almost(got, 3) {
+		t.Fatalf("serial time = %v, want 3", got)
+	}
+}
+
+func TestTimeLatencyTerm(t *testing.T) {
+	n := NetworkParams{Alpha: 1e-3, Beta: 1e-8, Gamma: 1e-9}
+	if got := n.Time(0, 0, 1000); !almost(got, 1) {
+		t.Fatalf("latency-only time = %v, want 1", got)
+	}
+	if got := n.TimeOverlap(0, 0, 1000); !almost(got, 1) {
+		t.Fatalf("latency-only overlapped time = %v, want 1", got)
 	}
 }
 
